@@ -95,17 +95,11 @@ class EngineConfig:
         Capacity of the in-memory simulation cache; ``0`` disables it.
     cache_dir:
         Optional directory for persistent ``.npz`` simulation artefacts.
-    solver_backend:
-        Circuit-solver backend (``auto``/``dense``/``cascade``, see
-        :data:`repro.sim.circuit.SOLVER_BACKENDS`).  A pure performance knob:
-        every backend computes the same S-matrices, so simulation cache keys
-        deliberately exclude it and cached artefacts are shared across
-        backends.
     plan_cache_entries:
         Capacity of the solver's compiled-plan cache (topology-keyed; see
         :class:`repro.sim.plan.CompiledCircuit`).  ``0`` recompiles the
-        structure work on every evaluation.  Like the backend, plans are
-        invisible to simulation cache keys.
+        structure work on every evaluation.  Plans are invisible to
+        simulation cache keys.
     wavelength_chunk:
         Optional bound on how many wavelength points the solver executes at
         once, capping the peak ``(W, P, E)`` workspace on large grids;
@@ -155,7 +149,6 @@ class EngineConfig:
     workers: int = 1
     cache_entries: int = 2048
     cache_dir: Optional[Path | str] = None
-    solver_backend: str = "auto"
     plan_cache_entries: int = 128
     wavelength_chunk: Optional[int] = None
     batch_size: int = 1
@@ -205,7 +198,6 @@ class ExecutionEngine:
             if solver is not None
             else CircuitSolver(
                 registry=registry,
-                backend=self.config.solver_backend,
                 plan_cache_entries=self.config.plan_cache_entries,
                 max_wavelength_chunk=self.config.wavelength_chunk,
                 plan_dir=self.config.resolved_plan_dir(),
@@ -255,9 +247,9 @@ class ExecutionEngine:
     ) -> str:
         """Content address of one simulation under this engine's registry.
 
-        The solver backend is deliberately NOT part of the key: backends are
-        numerically equivalent, so engines configured with different backends
-        must share cache entries (and golden artefacts stay backend-invariant).
+        The solver's executor (dense or cascade) is deliberately NOT part of
+        the key: both are numerically equivalent, so cache entries and golden
+        artefacts do not depend on which one ran.
         """
         spec_part = (
             "none" if port_spec is None else f"{port_spec.num_inputs}x{port_spec.num_outputs}"
@@ -572,7 +564,6 @@ def default_engine(
     workers: int = 1,
     cache_dir: Optional[Path | str] = None,
     registry: Optional[ModelRegistry] = None,
-    solver_backend: str = "auto",
     plan_cache_entries: int = 128,
     wavelength_chunk: Optional[int] = None,
     batch_size: int = 1,
@@ -584,7 +575,6 @@ def default_engine(
         EngineConfig(
             workers=workers,
             cache_dir=cache_dir,
-            solver_backend=solver_backend,
             plan_cache_entries=plan_cache_entries,
             wavelength_chunk=wavelength_chunk,
             batch_size=batch_size,

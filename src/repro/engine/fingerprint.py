@@ -6,7 +6,7 @@ produced it are identical.  Every helper here therefore hashes the canonical
 serialised form of its input (sorted-key JSON, raw float64 bytes) rather than
 object identities, so fingerprints are stable across processes and runs and
 can be used as on-disk cache file names.  Execution details that do not
-change the mathematics -- the solver backend (``dense``/``cascade``), worker
+change the mathematics -- the solver's executor (``dense``/``cascade``), worker
 count, cache configuration -- are deliberately excluded, so results and
 golden artefacts are shared across engine configurations.
 

@@ -36,7 +36,6 @@ import sys
 from typing import Dict, List, Optional, Sequence
 
 from ..engine.engine import EXECUTION_MODES
-from ..sim.circuit import SOLVER_BACKENDS
 from .ablation import restriction_ablation_text, run_restriction_ablation
 from .figures import figure2_text, figure3_text, figure4_text
 from .runner import SweepConfig, run_sweep
@@ -128,17 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="directory for persistent simulation-cache artefacts (.npz); "
         "reused across runs to skip repeated simulations",
-    )
-    parser.add_argument(
-        "--solver-backend",
-        type=str,
-        default="auto",
-        choices=list(SOLVER_BACKENDS),
-        help="circuit-solver backend: 'cascade' evaluates the connectivity "
-        "graph's condensation in topological order (feed-forward circuits "
-        "never pay for a global dense solve), 'dense' is the classic "
-        "all-ports solve, 'auto' picks per circuit; all backends produce "
-        "identical results",
     )
     parser.add_argument(
         "--plan-cache-entries",
@@ -261,7 +249,6 @@ def _sweep_config(args: argparse.Namespace) -> SweepConfig:
         cache_dir=args.cache_dir,
         pack=args.pack,
         pack_params=_parse_pack_params(args.pack_param),
-        solver_backend=args.solver_backend,
         plan_cache_entries=args.plan_cache_entries,
         wavelength_chunk=args.wavelength_chunk,
         batch_size=args.batch_size,

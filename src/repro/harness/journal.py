@@ -49,7 +49,7 @@ def sweep_fingerprint(
 
     Derived only from the fields that determine the reported numbers;
     performance knobs (workers, batch size, execution mode, process count,
-    backends, caches) and robustness knobs (retries, timeouts) are
+    caches) and robustness knobs (retries, timeouts) are
     deliberately excluded so a resumed run may use different ones.
     """
     payload = {

@@ -54,18 +54,14 @@ class SweepConfig:
     served from a content-addressed cache optionally persisted under
     ``cache_dir``.  Reports are byte-identical for any worker count.
 
-    ``solver_backend`` selects the circuit-solver backend
-    (``auto``/``dense``/``cascade``); backends are numerically equivalent,
-    so it changes sweep runtime but never the reported numbers.  The same
-    holds for ``plan_cache_entries`` (capacity of the solver's
-    topology-keyed compiled-plan cache -- structurally identical candidate
-    netlists across samples and workers compile once),
-    ``wavelength_chunk`` (bounds the solver's peak per-evaluation workspace
+    ``plan_cache_entries`` (capacity of the solver's topology-keyed
+    compiled-plan cache -- structurally identical candidate netlists across
+    samples and workers compile once), ``wavelength_chunk`` (bounds the solver's peak per-evaluation workspace
     on large grids) and ``batch_size`` (when > 1, trajectories advance in
     lockstep and each feedback iteration's structure-sharing candidate
     netlists -- samples that differ only in instance settings -- are fused
-    into shared batched executor passes of at most ``batch_size`` samples;
-    reports are identical to the per-sample path).
+    into shared batched executor passes of at most ``batch_size`` samples)
+    change sweep runtime but never the reported numbers.
 
     ``execution_mode`` selects the parallel tier: ``"thread"`` (default)
     runs work units on the engine's thread pool; ``"process"`` shards them
@@ -97,7 +93,6 @@ class SweepConfig:
     cache_dir: Optional[str] = None
     pack: str = CORE_PACK_NAME
     pack_params: Optional[PackParams] = None
-    solver_backend: str = "auto"
     plan_cache_entries: int = 128
     wavelength_chunk: Optional[int] = None
     batch_size: int = 1
@@ -127,7 +122,6 @@ class SweepConfig:
         return EngineConfig(
             workers=self.workers,
             cache_dir=self.cache_dir,
-            solver_backend=self.solver_backend,
             plan_cache_entries=self.plan_cache_entries,
             wavelength_chunk=self.wavelength_chunk,
             batch_size=self.batch_size,

@@ -30,6 +30,16 @@ __all__ = ["parse_netlist_text", "extract_json_object", "parse_netlist_dict"]
 _CODE_FENCE_RE = re.compile(r"```(?:json)?\s*(.*?)```", re.DOTALL)
 
 
+def _reject_constant(token: str) -> Any:
+    """``parse_constant`` hook: ``NaN``/``Infinity`` are not standard JSON."""
+    raise OtherSyntaxError(f"invalid JSON: non-standard constant {token}")
+
+
+#: Strict decoder shared by both parse paths: Python's ``json`` otherwise
+#: accepts ``NaN``, ``Infinity`` and ``-Infinity`` as numbers.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def extract_json_object(text: str) -> Optional[str]:
     """Locate the first balanced top-level JSON object inside ``text``.
 
@@ -65,7 +75,7 @@ def extract_json_object(text: str) -> Optional[str]:
 
 def _load_json(candidate: str) -> Any:
     try:
-        return json.loads(candidate)
+        return _DECODER.decode(candidate)
     except json.JSONDecodeError as exc:
         raise OtherSyntaxError(f"invalid JSON: {exc}") from exc
 
@@ -105,7 +115,7 @@ def parse_netlist_text(text: str, *, strict: bool = True) -> Netlist:
     # Fast path: the whole response is exactly one JSON object.
     if stripped.startswith("{") and stripped.endswith("}"):
         try:
-            return parse_netlist_dict(json.loads(stripped))
+            return parse_netlist_dict(_DECODER.decode(stripped))
         except json.JSONDecodeError:
             pass  # fall through to extraction / better error below
 

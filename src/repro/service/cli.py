@@ -29,7 +29,6 @@ from typing import Dict, Optional, Sequence
 
 from ..engine.engine import EXECUTION_MODES
 from ..faults import RetryPolicy
-from ..sim.circuit import SOLVER_BACKENDS
 from .client import ServiceClient, ServiceError
 from .daemon import ServiceDaemon
 from .service import EvalService
@@ -117,7 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--pack-param", action="append", default=None, metavar="KEY=VALUE",
         help="pack generation parameter (VALUE parsed as JSON; repeatable)",
     )
-    submit.add_argument("--solver-backend", default="auto", choices=list(SOLVER_BACKENDS))
     submit.add_argument("--batch-size", type=int, default=1)
     submit.add_argument(
         "--execution-mode", default="thread", choices=list(EXECUTION_MODES)
@@ -208,7 +206,6 @@ def _spec_from_args(args: argparse.Namespace) -> JobSpec:
         "problems": tuple(args.problems) if args.problems else None,
         "pack": args.pack,
         "pack_params": _parse_pack_params(args.pack_param),
-        "solver_backend": args.solver_backend,
         "batch_size": args.batch_size,
         "execution_mode": args.execution_mode,
         "processes": args.processes,

@@ -34,6 +34,13 @@ JOB_KINDS: Tuple[str, ...] = ("sweep", "evaluate")
 #: before these fields existed remain valid.
 _NON_SEMANTIC_FIELDS: Tuple[str, ...] = ("retry_attempts", "retry_backoff", "unit_timeout")
 
+#: Fields older releases wrote and this one no longer has.  ``from_dict``
+#: drops them so specs journaled by those releases still load (and recover)
+#: instead of failing as unknown fields.  The removed solver backend knob
+#: chose between numerically equivalent executors; the solver now picks one
+#: internally.
+_LEGACY_FIELDS: Tuple[str, ...] = ("solver_backend",)
+
 
 @dataclass(frozen=True)
 class JobSpec:
@@ -57,7 +64,6 @@ class JobSpec:
     problems: Optional[Tuple[str, ...]] = None
     pack: str = CORE_PACK_NAME
     pack_params: Optional[Dict[str, object]] = None
-    solver_backend: str = "auto"
     batch_size: int = 1
     execution_mode: str = "thread"
     processes: int = 0
@@ -118,11 +124,10 @@ class JobSpec:
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "JobSpec":
         """Rebuild a spec from :meth:`to_dict` output (or protocol JSON)."""
-        known = {f for f in cls.__dataclass_fields__}  # noqa: C416 - explicit set
-        unknown = set(payload) - known
+        data = {k: v for k, v in payload.items() if k not in _LEGACY_FIELDS}
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown JobSpec fields: {sorted(unknown)}")
-        data = dict(payload)
         for key in ("models", "restrictions", "problems"):
             if data.get(key) is not None:
                 data[key] = tuple(data[key])  # type: ignore[arg-type]
@@ -176,7 +181,6 @@ class JobSpec:
             cache_dir=cache_dir,
             pack=self.pack,
             pack_params=self.pack_params,
-            solver_backend=self.solver_backend,
             batch_size=self.batch_size,
             execution_mode=self.execution_mode,
             processes=self.processes,

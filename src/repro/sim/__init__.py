@@ -13,14 +13,6 @@ from .analysis import ComparisonResult, FrequencyResponse, compare_responses
 from .batch import BatchStats, apply_settings, batch_evaluate_model, fuse_sample_matrices
 from .cascade import CascadePlan
 from .circuit import SOLVER_BACKENDS, CircuitSolver, default_solver, evaluate_netlist
-from .kernels import (
-    HAVE_NUMBA,
-    KERNEL_MODES,
-    get_kernels,
-    kernel_status,
-    resolve_kernel_mode,
-    set_kernel_mode,
-)
 from .plan import CompiledCircuit, compile_netlist
 from .registry import ModelInfo, ModelRegistry, UnknownModelError, default_registry
 from .sparams import SMatrix, is_reciprocal, is_unitary, power_transmission, sdict_to_smatrix
@@ -36,12 +28,6 @@ __all__ = [
     "UnknownModelError",
     "default_registry",
     "SOLVER_BACKENDS",
-    "HAVE_NUMBA",
-    "KERNEL_MODES",
-    "get_kernels",
-    "kernel_status",
-    "resolve_kernel_mode",
-    "set_kernel_mode",
     "BatchStats",
     "apply_settings",
     "batch_evaluate_model",

@@ -9,6 +9,7 @@ between every pair of external ports over the full wavelength grid; the port
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -99,7 +100,9 @@ def compare_responses(
     """Compare a candidate frequency response against the golden one.
 
     The comparison fails when the external port names differ, the wavelength
-    grids differ, or any ``|S|^2`` spectrum deviates by more than ``atol``.
+    grids differ, any ``|S|^2`` spectrum deviates by more than ``atol``, or
+    either response holds a non-finite value (``max_abs_error`` is then
+    ``inf``).
     """
     if isinstance(candidate, SMatrix):
         candidate = FrequencyResponse.from_smatrix(candidate)
@@ -130,6 +133,7 @@ def compare_responses(
 
     max_error = 0.0
     mismatched: List[Tuple[str, str]] = []
+    nonfinite = 0
     for pair, golden_spectrum in golden.transmission.items():
         candidate_spectrum = candidate.transmission.get(pair)
         if candidate_spectrum is None:
@@ -137,10 +141,27 @@ def compare_responses(
             max_error = float("inf")
             continue
         error = float(np.max(np.abs(candidate_spectrum - golden_spectrum)))
+        if not math.isfinite(error):
+            # A NaN sample on either side makes the error NaN, which passes
+            # ``error > atol`` and vanishes in ``max``: fail the pair outright.
+            nonfinite += 1
+            mismatched.append(pair)
+            max_error = float("inf")
+            continue
         max_error = max(max_error, error)
         if error > atol:
             mismatched.append(pair)
 
+    if nonfinite:
+        return ComparisonResult(
+            passed=False,
+            max_abs_error=float("inf"),
+            reason=(
+                "non-finite power transmission in the candidate or golden "
+                f"response on {nonfinite} port pair(s)"
+            ),
+            mismatched_pairs=mismatched,
+        )
     if mismatched:
         return ComparisonResult(
             passed=False,

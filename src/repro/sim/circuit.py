@@ -33,13 +33,15 @@ Two executors evaluate that expression (:mod:`repro.sim.plan`):
     clusters (rings).  Feed-forward meshes and switch fabrics never touch a
     global solve.  (:mod:`repro.sim.cascade` keeps the original per-port
     reference implementation the test suite checks the executor against.)
-``auto``
-    Picks ``dense`` for small circuits (where one vectorised solve beats the
-    cascade's per-component bookkeeping) and ``cascade`` otherwise.
 
-Both executors evaluate the same linear system and agree to well below 1e-9;
-backend choice is a performance knob, never a semantic one (engine cache
-keys deliberately exclude it, and the plan cache is shared by both).
+The production path is ``auto``: the solver picks ``dense`` for circuits of
+at most ``_AUTO_DENSE_MAX_PORTS`` flattened ports (where one vectorised
+solve beats the cascade's per-component bookkeeping) or whose plan cannot
+cascade, and ``cascade`` otherwise.  The choice follows from the input; it
+is not configurable.  Both executors evaluate the same linear system and
+agree to well below 1e-9, so the per-call ``backend="dense"|"cascade"``
+override of :meth:`CircuitSolver.evaluate` exists only as a test oracle
+(equivalence suites and benchmarks pin one executor against the other).
 ``max_wavelength_chunk`` bounds the peak size of the ``(W, P, E)`` execution
 workspace by splitting the solve over the wavelength axis.
 """
@@ -88,7 +90,8 @@ from .sparams import SMatrix
 
 __all__ = ["SOLVER_BACKENDS", "CircuitSolver", "default_solver", "evaluate_netlist"]
 
-#: Recognised solver backend names.
+#: Recognised values of the per-call ``backend`` argument: ``auto`` is the
+#: production choice, ``dense``/``cascade`` force one executor (test oracle).
 SOLVER_BACKENDS: Tuple[str, ...] = ("auto", "dense", "cascade")
 
 #: ``auto`` uses the dense backend up to this many flattened instance ports
@@ -172,10 +175,6 @@ class CircuitSolver:
         so the many structurally repeated instances of mesh and switch-fabric
         netlists (and repeated ``evaluate`` calls on the same grid) evaluate
         each distinct device exactly once.  ``0`` disables the sub-cache.
-    backend:
-        Default solver backend (one of :data:`SOLVER_BACKENDS`); individual
-        :meth:`evaluate` calls may override it.  All backends produce the
-        same result; see the module docstring.
     plan_cache_entries:
         Capacity of the compiled-plan cache, keyed by
         :func:`~repro.sim.plan.topology_fingerprint` (instance models +
@@ -209,14 +208,12 @@ class CircuitSolver:
         *,
         validate: bool = True,
         instance_cache_entries: int = 512,
-        backend: str = "auto",
         plan_cache_entries: int = 128,
         max_wavelength_chunk: Optional[int] = None,
         plan_dir: Optional[Path | str] = None,
     ) -> None:
         self.registry = registry if registry is not None else default_registry()
         self.validate = validate
-        self.backend = _check_backend(backend)
         self.max_wavelength_chunk = _check_chunk(max_wavelength_chunk)
         self.plan_dir = Path(plan_dir) if plan_dir is not None else None
         if self.plan_dir is not None:
@@ -378,17 +375,20 @@ class CircuitSolver:
         wavelengths: Optional[np.ndarray] = None,
         *,
         port_spec: Optional[PortSpec] = None,
-        backend: Optional[str] = None,
+        backend: str = "auto",
     ) -> SMatrix:
         """Simulate ``netlist`` and return the external S-matrix.
 
-        ``backend`` overrides the solver's default backend for this call.
+        ``backend`` is the test-oracle selector: the default ``"auto"`` is
+        the production path (dense or cascade chosen by circuit size), while
+        ``"dense"``/``"cascade"`` force one executor so equivalence suites
+        and benchmarks can compare them.
         Raises a classified :class:`PICBenchError` subclass when the netlist
         is invalid, or :class:`OtherSyntaxError` when a device model rejects
         its settings.
         """
         wavelengths = normalize_wavelengths(wavelengths)
-        chosen = _check_backend(backend if backend is not None else self.backend)
+        chosen = _check_backend(backend)
         compiled, matrices, symmetric = self._compiled(netlist, wavelengths, port_spec)
         chosen = self._choose_backend(compiled, chosen)
         with collect_degradations() as events:
@@ -403,7 +403,7 @@ class CircuitSolver:
         wavelengths: Optional[np.ndarray] = None,
         *,
         port_spec: Optional[PortSpec] = None,
-        backend: Optional[str] = None,
+        backend: str = "auto",
         merge: bool = True,
     ) -> List[SMatrix]:
         """Evaluate ``S`` settings samples of one netlist in fused executor passes.
@@ -429,7 +429,7 @@ class CircuitSolver:
         if not settings_batch:
             return []
         wavelengths = normalize_wavelengths(wavelengths)
-        chosen_base = _check_backend(backend if backend is not None else self.backend)
+        chosen_base = _check_backend(backend)
         num_samples = len(settings_batch)
         num_points = int(wavelengths.size)
         grid_bytes = np.ascontiguousarray(wavelengths).tobytes()
@@ -1146,7 +1146,6 @@ def evaluate_netlist(
     *,
     registry: Optional[ModelRegistry] = None,
     port_spec: Optional[PortSpec] = None,
-    backend: Optional[str] = None,
 ) -> SMatrix:
     """Convenience wrapper: evaluate ``netlist`` with the default solver.
 
@@ -1155,4 +1154,4 @@ def evaluate_netlist(
     registry builds a dedicated solver for that call.
     """
     solver = default_solver() if registry is None else CircuitSolver(registry=registry)
-    return solver.evaluate(netlist, wavelengths, port_spec=port_spec, backend=backend)
+    return solver.evaluate(netlist, wavelengths, port_spec=port_spec)

@@ -72,3 +72,32 @@ class TestCompareResponses:
         candidate = evaluate_netlist(modified, wavelengths)
         loose = compare_responses(candidate, golden_response, atol=0.5)
         assert loose.passed
+
+    @pytest.mark.parametrize(
+        "side, every_sample",
+        [("candidate", True), ("candidate", False), ("golden", False)],
+        ids=["all-nan-candidate", "one-nan-sample-candidate", "one-nan-sample-golden"],
+    )
+    def test_non_finite_spectrum_fails(self, golden_response, side, every_sample):
+        # NaN compares False against atol and vanishes in max(): without the
+        # explicit check the pair would pass with max_abs_error 0.0.
+        transmission = {}
+        for pair, spectrum in golden_response.transmission.items():
+            spectrum = spectrum.copy()
+            if every_sample:
+                spectrum[:] = np.nan
+            elif pair == ("O1", "I1"):
+                spectrum[spectrum.size // 2] = np.nan
+            transmission[pair] = spectrum
+        poisoned = FrequencyResponse(
+            golden_response.wavelengths, golden_response.ports, transmission
+        )
+        if side == "candidate":
+            result = compare_responses(poisoned, golden_response)
+        else:
+            result = compare_responses(golden_response, poisoned)
+        assert not result.passed
+        assert result.max_abs_error == float("inf")
+        assert "non-finite" in result.reason
+        expected = list(transmission) if every_sample else [("O1", "I1")]
+        assert result.mismatched_pairs == expected

@@ -81,3 +81,15 @@ class TestParseNetlistText:
     def test_structurally_invalid_top_level(self):
         with pytest.raises(OtherSyntaxError):
             parse_netlist_text('{"instances": {}}', strict=True)
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_standard_constants_are_syntax_errors(self, golden_json, token):
+        drafted = golden_json.replace('"length": 10.0', f'"length": {token}', 1)
+        assert drafted != golden_json
+        with pytest.raises(OtherSyntaxError, match="non-standard constant"):
+            parse_netlist_text(drafted, strict=True)
+
+    def test_non_standard_constant_in_recovered_json(self, golden_json):
+        drafted = golden_json.replace('"length": 20.0', '"length": NaN', 1)
+        with pytest.raises(OtherSyntaxError, match="non-standard constant"):
+            parse_netlist_text("```json\n" + drafted + "\n```", strict=False)

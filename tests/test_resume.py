@@ -72,7 +72,6 @@ def test_fingerprint_ignores_performance_and_robustness_knobs(tmp_path):
         replace(base, unit_timeout=12.0),
         replace(base, cache_dir=str(tmp_path)),
         replace(base, journal_dir=str(tmp_path), resume=True),
-        replace(base, solver_backend="dense"),
     ):
         assert sweep_fingerprint(variant, ("GPT-4o",), (False,)) == fingerprint
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import os
+import sqlite3
 import subprocess
 import sys
 import threading
@@ -258,6 +259,39 @@ def test_status_falls_back_to_the_store_after_restart(tmp_path):
         assert record.run_id is not None
         with pytest.raises(KeyError):
             fresh.status("job-truly-unknown")
+
+
+def test_recover_accepts_spec_journaled_with_legacy_backend_field(tmp_path):
+    """A queued row written by a release whose specs still carried the
+    removed solver backend knob recovers and completes: ``from_dict`` drops
+    the legacy key instead of rejecting it as unknown."""
+    db = tmp_path / "legacy.db"
+    store = ResultsStore(db)
+    assert store.schema_version == 2
+    spec = JobSpec(**TINY)
+    legacy_spec = dict(spec.to_dict(), solver_backend="auto")
+    with sqlite3.connect(db) as conn:
+        conn.execute(
+            "INSERT INTO jobs VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+            (
+                "job-legacy",
+                "legacy-fingerprint",
+                json.dumps(legacy_spec, sort_keys=True, separators=(",", ":")),
+                0,
+                "queued",
+                time.time(),
+                None,
+                None,
+                None,
+                None,
+            ),
+        )
+    with EvalService(db, recover=True) as service:
+        assert service.health()["recovery"]["requeued_jobs"] == ["job-legacy"]
+        record = service.wait("job-legacy", timeout=120.0)
+        assert record.state is JobState.DONE
+        assert record.spec == spec
+        assert service.store.load_report_json(record.run_id, "GPT-4o", False)
 
 
 # ======================================================================

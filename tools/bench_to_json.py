@@ -68,7 +68,6 @@ from repro.harness.runner import SweepConfig, run_sweep  # noqa: E402
 from repro.netlist.validation import validate_netlist  # noqa: E402
 from repro.sim import CircuitSolver, apply_settings  # noqa: E402
 from repro.sim.cascade import cascade_solve  # noqa: E402
-from repro.sim.kernels import kernel_status  # noqa: E402
 
 #: Problems timed by default (mirrors benchmarks/bench_ablation_solver_scaling.py).
 DEFAULT_PROBLEMS = (
@@ -474,7 +473,6 @@ def run_benchmark(
             "numpy": np.__version__,
             "machine": platform.machine(),
             "cpu_count": os.cpu_count(),
-            "kernels": kernel_status(),
         },
         "plan_cache": plan_stats.as_dict(),
         "plan_cache_hit_rate": plan_stats.hit_rate,

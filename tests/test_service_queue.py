@@ -416,6 +416,13 @@ def test_spec_from_dict_rejects_unknown_fields():
         JobSpec.from_dict({"cache_dir": "/tmp/x"})
 
 
+def test_spec_from_dict_drops_legacy_backend_field():
+    spec = JobSpec(**TINY)
+    legacy = JobSpec.from_dict(dict(spec.to_dict(), solver_backend="cascade"))
+    assert legacy == spec
+    assert legacy.fingerprint() == spec.fingerprint()
+
+
 def test_queue_submit_validates_spec():
     queue = JobQueue(Recorder(), workers=1)
     with pytest.raises(KeyError):

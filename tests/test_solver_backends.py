@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from repro.bench.packs import pack_names, get_pack
-from repro.engine.engine import ExecutionEngine
+from repro.engine.engine import EngineConfig, ExecutionEngine, default_engine
+from repro.harness.runner import SweepConfig
 from repro.netlist import Instance, Netlist
 from repro.sim import SOLVER_BACKENDS, CircuitSolver, evaluate_netlist
 from repro.sim.cascade import strongly_connected_components
@@ -265,6 +266,53 @@ class TestBackendPlumbing:
         dense = CircuitSolver().evaluate(netlist, wavelengths, backend="dense")
         assert result.ports == dense.ports
         assert _max_abs_diff(result, dense) <= EQUIVALENCE_ATOL
+
+    @pytest.mark.parametrize(
+        "problem, expected", [("mzi_ps", "dense"), ("spanke_8x8", "cascade")]
+    )
+    def test_auto_choice_follows_flattened_port_count(self, problem, expected, wavelengths):
+        from repro.bench import get_problem
+        from repro.sim.circuit import _AUTO_DENSE_MAX_PORTS
+
+        solver = CircuitSolver()
+        compiled = solver.compile(get_problem(problem).golden_netlist(), wavelengths)
+        assert (compiled.num_ports <= _AUTO_DENSE_MAX_PORTS) == (expected == "dense")
+        assert solver._choose_backend(compiled, "auto") == expected
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: CircuitSolver(backend="dense"),
+            lambda: EngineConfig(solver_backend="dense"),
+            lambda: default_engine(solver_backend="dense"),
+            lambda: SweepConfig(solver_backend="dense"),
+            lambda: evaluate_netlist(_ring_netlist(), backend="dense"),
+        ],
+        ids=["solver", "engine-config", "default-engine", "sweep-config", "evaluate-netlist"],
+    )
+    def test_removed_backend_knob_is_rejected(self, build):
+        # The backend is chosen inside the solver; no production entry
+        # point takes it as configuration any more.
+        with pytest.raises(TypeError):
+            build()
+
+    @pytest.mark.parametrize(
+        "parser_module, argv",
+        [
+            ("repro.harness.cli", ["sweep", "--solver-backend", "cascade"]),
+            (
+                "repro.service.cli",
+                ["jobs", "--port", "1", "submit", "--solver-backend", "cascade"],
+            ),
+        ],
+        ids=["harness", "service"],
+    )
+    def test_cli_rejects_removed_solver_backend_flag(self, parser_module, argv):
+        import importlib
+
+        parser = importlib.import_module(parser_module).build_parser()
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv)
 
 
 class TestUnvalidatedEdgeCases:

@@ -12,8 +12,10 @@ Each of the 24 benchmark problems bundles (Section III-B of the paper):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Tuple
 
+from ..engine.fingerprint import netlist_fingerprint
 from ..netlist.schema import Netlist
 from ..netlist.validation import PortSpec
 
@@ -72,10 +74,25 @@ class Problem:
     pack: str = "core"
 
     def golden_netlist(self) -> Netlist:
-        """Build (a fresh copy of) the expert-written golden netlist."""
+        """Return a fresh copy of the expert-written golden netlist."""
+        return self.canonical_golden.copy()
+
+    @cached_property
+    def canonical_golden(self) -> Netlist:
+        """The golden netlist, built once per problem and shared.
+
+        Callers must not mutate it: take :meth:`golden_netlist` for a copy.
+        The cached value is not a dataclass field, so it stays out of
+        equality, hashing and ``repr``.
+        """
         return self.golden_factory()
+
+    @cached_property
+    def golden_fingerprint(self) -> str:
+        """Content fingerprint of the golden netlist, computed once."""
+        return netlist_fingerprint(self.canonical_golden)
 
     @property
     def complexity(self) -> int:
         """Number of instances in the golden design (a difficulty proxy)."""
-        return self.golden_netlist().num_instances()
+        return self.canonical_golden.num_instances()

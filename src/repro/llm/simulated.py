@@ -245,7 +245,8 @@ class SimulatedDesigner:
                 "draft",
             )
         )
-        netlist: Netlist = problem.golden_netlist()
+        # Every mutator copies before it edits, so the shared golden is safe.
+        netlist: Netlist = problem.canonical_golden
         if trajectory.functional_error:
             netlist = apply_functional_mutation(netlist, rng, self.registry)
         wrappers = []
@@ -307,7 +308,7 @@ class PerfectDesigner:
         problem = SimulatedDesigner._find_problem(messages)
         return format_response(
             f"Reproducing the expert design for {problem.title}.",
-            problem.golden_netlist().to_json(),
+            problem.canonical_golden.to_json(),
         )
 
 

@@ -40,24 +40,32 @@ def _reject_constant(token: str) -> Any:
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
+#: The only characters the brace scanner acts on.
+_SCAN_TOKEN_RE = re.compile(r'["\\{}]')
+
+
 def extract_json_object(text: str) -> Optional[str]:
     """Locate the first balanced top-level JSON object inside ``text``.
 
     Returns the candidate substring, or ``None`` when no balanced object is
-    found.  Brace counting ignores braces inside JSON strings.
+    found.  Brace counting ignores braces inside JSON strings.  The scan
+    visits only quote, backslash and brace characters; an unbalanced start
+    retries from the next ``{``.
     """
-    start = text.find("{")
-    while start != -1:
+    positions = [match.start() for match in _SCAN_TOKEN_RE.finditer(text)]
+    for first, start in enumerate(positions):
+        if text[start] != "{":
+            continue
         depth = 0
         in_string = False
-        escaped = False
-        for idx in range(start, len(text)):
+        escaped_at = -1  # position of the character a backslash escapes
+        for idx in positions[first:]:
             char = text[idx]
             if in_string:
-                if escaped:
-                    escaped = False
-                elif char == "\\":
-                    escaped = True
+                if idx == escaped_at:
+                    continue
+                if char == "\\":
+                    escaped_at = idx + 1
                 elif char == '"':
                     in_string = False
                 continue
@@ -69,7 +77,6 @@ def extract_json_object(text: str) -> Optional[str]:
                 depth -= 1
                 if depth == 0:
                     return text[start : idx + 1]
-        start = text.find("{", start + 1)
     return None
 
 

@@ -50,6 +50,17 @@ def format_endpoint(instance: str, port: str) -> str:
     return f"{instance},{port}"
 
 
+#: Setting value types that are immutable, so a shallow copy shares them safely.
+_SCALAR_TYPES = (str, int, float, bool, type(None))
+
+
+def _copy_settings(settings: Dict[str, Any]) -> Dict[str, Any]:
+    """Copy a settings dict: shallow when every value is an immutable scalar."""
+    if all(type(value) in _SCALAR_TYPES for value in settings.values()):
+        return dict(settings)
+    return copy.deepcopy(settings)
+
+
 @dataclass
 class Instance:
     """One component instantiation inside a netlist."""
@@ -163,7 +174,7 @@ class Netlist:
     def copy(self) -> "Netlist":
         """Deep copy (mutation operators rely on this)."""
         return Netlist(
-            instances={name: Instance(inst.component, copy.deepcopy(inst.settings))
+            instances={name: Instance(inst.component, _copy_settings(inst.settings))
                        for name, inst in self.instances.items()},
             connections=dict(self.connections),
             ports=dict(self.ports),

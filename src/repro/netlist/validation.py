@@ -9,9 +9,10 @@ which is useful for diagnostics and for the error-breakdown ablation.
 
 from __future__ import annotations
 
+import cmath
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
 
 from .errors import (
     BadComponentNameError,
@@ -63,6 +64,34 @@ def _check_instance_names(netlist: Netlist, errors: List[NetlistSyntaxError]) ->
                     "and must not contain underscores"
                 )
             )
+
+
+def _non_finite(value: Any) -> bool:
+    """True when ``value`` is, or nests in a list or object, a NaN or infinity."""
+    if isinstance(value, (float, complex)):
+        return not cmath.isfinite(value)
+    if isinstance(value, (list, tuple)):
+        return any(_non_finite(item) for item in value)
+    if isinstance(value, Mapping):
+        return any(_non_finite(item) for item in value.values())
+    return False
+
+
+def _check_settings(netlist: Netlist, errors: List[NetlistSyntaxError]) -> None:
+    """Reject NaN and infinite settings, which JSON cannot express either.
+
+    The parser already rejects ``NaN``/``Infinity`` in response text; this
+    catches the same values in netlists built in Python.
+    """
+    for name, inst in netlist.instances.items():
+        for param, value in inst.settings.items():
+            if _non_finite(value):
+                errors.append(
+                    OtherSyntaxError(
+                        f"instance {name!r} setting {param!r} = {value!r} is not a "
+                        "finite number"
+                    )
+                )
 
 
 def _check_models_section(
@@ -119,22 +148,25 @@ def _check_models_section(
         )
 
 
-def _ports_of_instance(
-    netlist: Netlist, registry: ModelRegistry, instance_name: str
-) -> Optional[Tuple[str, ...]]:
-    """Return the port tuple of an instance, or None when it cannot be resolved."""
-    inst = netlist.instances.get(instance_name)
-    if inst is None:
-        return None
-    ref = netlist.models.get(inst.component, inst.component)
-    if not isinstance(ref, str) or ref not in registry:
-        return None
-    return registry.get(ref).ports
+def _instance_ports(
+    netlist: Netlist, registry: ModelRegistry
+) -> Dict[str, Optional[Tuple[str, ...]]]:
+    """Map every instance to its port tuple, or None when it cannot be resolved.
+
+    Built once per validation; an instance name is a key exactly when the
+    instance exists in the netlist.
+    """
+    ports: Dict[str, Optional[Tuple[str, ...]]] = {}
+    for name, inst in netlist.instances.items():
+        ref = netlist.models.get(inst.component, inst.component)
+        ports[name] = (
+            registry.get(ref).ports if isinstance(ref, str) and ref in registry else None
+        )
+    return ports
 
 
 def _check_endpoint(
-    netlist: Netlist,
-    registry: ModelRegistry,
+    instance_ports: Dict[str, Optional[Tuple[str, ...]]],
     endpoint: str,
     context: str,
     errors: List[NetlistSyntaxError],
@@ -145,7 +177,7 @@ def _check_endpoint(
     except OtherSyntaxError as exc:
         errors.append(OtherSyntaxError(f"{context}: {exc.detail}"))
         return None
-    if instance_name not in netlist.instances:
+    if instance_name not in instance_ports:
         errors.append(
             DanglingPortError(
                 f"{context}: instance {instance_name!r} does not exist in the netlist; "
@@ -153,7 +185,7 @@ def _check_endpoint(
             )
         )
         return None
-    ports = _ports_of_instance(netlist, registry, instance_name)
+    ports = instance_ports[instance_name]
     if ports is not None and port not in ports:
         errors.append(
             WrongPortError(
@@ -166,7 +198,9 @@ def _check_endpoint(
 
 
 def _check_connections(
-    netlist: Netlist, registry: ModelRegistry, errors: List[NetlistSyntaxError]
+    netlist: Netlist,
+    instance_ports: Dict[str, Optional[Tuple[str, ...]]],
+    errors: List[NetlistSyntaxError],
 ) -> None:
     seen: Dict[Tuple[str, str], str] = {}
     exposed = set()
@@ -177,9 +211,9 @@ def _check_connections(
             continue  # reported by _check_ports
 
     for key, value in netlist.connections.items():
-        key_pair = _check_endpoint(netlist, registry, key, f"connection key {key!r}", errors)
+        key_pair = _check_endpoint(instance_ports, key, f"connection key {key!r}", errors)
         value_pair = _check_endpoint(
-            netlist, registry, value, f"connection value {value!r}", errors
+            instance_ports, value, f"connection value {value!r}", errors
         )
         for pair, raw in ((key_pair, key), (value_pair, value)):
             if pair is None:
@@ -210,7 +244,7 @@ def _check_connections(
 
 def _check_ports(
     netlist: Netlist,
-    registry: ModelRegistry,
+    instance_ports: Dict[str, Optional[Tuple[str, ...]]],
     port_spec: Optional[PortSpec],
     errors: List[NetlistSyntaxError],
 ) -> None:
@@ -221,7 +255,7 @@ def _check_ports(
     seen_endpoints: Dict[Tuple[str, str], str] = {}
     for ext_name, endpoint in netlist.ports.items():
         pair = _check_endpoint(
-            netlist, registry, endpoint, f"external port {ext_name!r}", errors
+            instance_ports, endpoint, f"external port {ext_name!r}", errors
         )
         if pair is not None:
             if pair in seen_endpoints:
@@ -265,9 +299,11 @@ def collect_violations(
     registry = registry if registry is not None else default_registry()
     errors: List[NetlistSyntaxError] = []
     _check_instance_names(netlist, errors)
+    _check_settings(netlist, errors)
     _check_models_section(netlist, registry, errors)
-    _check_ports(netlist, registry, port_spec, errors)
-    _check_connections(netlist, registry, errors)
+    instance_ports = _instance_ports(netlist, registry)
+    _check_ports(netlist, instance_ports, port_spec, errors)
+    _check_connections(netlist, instance_ports, errors)
     return errors
 
 

@@ -9,9 +9,8 @@ between every pair of external ports over the full wavelength grid; the port
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,25 +31,43 @@ class FrequencyResponse:
     ports:
         External port names of the circuit.
     transmission:
-        Mapping ``(output_port, input_port) -> |S|^2`` spectrum.
+        Mapping ``(output_port, input_port) -> |S|^2`` spectrum.  The values
+        are read-only row views of :attr:`power`.
+    power:
+        The spectra stacked once into a read-only ``(pairs, W)`` array, in
+        ``transmission`` order.  Built by the constructor from whatever
+        mapping it is given.
     """
 
     wavelengths: np.ndarray
     ports: Tuple[str, ...]
     transmission: Mapping[Tuple[str, str], np.ndarray]
+    power: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.transmission:
+            power = np.array(list(self.transmission.values()), dtype=float)
+        else:
+            power = np.zeros((0, np.size(self.wavelengths)))
+        power.flags.writeable = False
+        object.__setattr__(self, "power", power)
+        object.__setattr__(self, "transmission", dict(zip(self.transmission, power)))
 
     @classmethod
     def from_smatrix(cls, smatrix: SMatrix) -> "FrequencyResponse":
-        """Extract the power response from a simulated S-matrix."""
-        transmission = {
-            (po, pi): np.abs(smatrix.s(po, pi)) ** 2
-            for po in smatrix.ports
-            for pi in smatrix.ports
-        }
+        """Extract the power response from a simulated S-matrix.
+
+        Pairs are ordered output-major: ``(ports[i], ports[j])`` is row
+        ``i * P + j``, the order of ``SMatrix.data`` flattened per wavelength.
+        """
+        size = len(smatrix.ports)
+        power = np.abs(smatrix.data.reshape(smatrix.data.shape[0], size * size))
+        np.square(power, out=power)
+        pairs = [(po, pi) for po in smatrix.ports for pi in smatrix.ports]
         return cls(
             wavelengths=np.asarray(smatrix.wavelengths, dtype=float),
             ports=tuple(smatrix.ports),
-            transmission=transmission,
+            transmission=dict(zip(pairs, power.T)),
         )
 
     def to_dict(self) -> Dict[str, object]:
@@ -91,6 +108,37 @@ class ComparisonResult:
         return self.passed
 
 
+def _power_in_order(
+    candidate: FrequencyResponse | SMatrix, pairs: Sequence[Tuple[str, str]]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Gather the candidate's ``|S|^2`` for ``pairs`` with one fancy index.
+
+    Returns a fresh ``(W, found)`` array with the power of the pairs the
+    candidate has, in ``pairs`` order, and the boolean mask of which pairs
+    it has.
+    """
+    if isinstance(candidate, SMatrix):
+        size = len(candidate.ports)
+        index = {port: k for k, port in enumerate(candidate.ports)}
+        rows = np.array(
+            [
+                index[out_port] * size + index[in_port]
+                if out_port in index and in_port in index
+                else -1
+                for out_port, in_port in pairs
+            ],
+            dtype=np.intp,
+        )
+        found = rows >= 0
+        power = np.abs(candidate.data.reshape(candidate.data.shape[0], size * size))
+        np.square(power, out=power)
+        return power[:, rows[found]], found
+    index = {pair: k for k, pair in enumerate(candidate.transmission)}
+    rows = np.array([index.get(pair, -1) for pair in pairs], dtype=np.intp)
+    found = rows >= 0
+    return candidate.power[rows[found]].T, found
+
+
 def compare_responses(
     candidate: FrequencyResponse | SMatrix,
     golden: FrequencyResponse | SMatrix,
@@ -102,10 +150,10 @@ def compare_responses(
     The comparison fails when the external port names differ, the wavelength
     grids differ, any ``|S|^2`` spectrum deviates by more than ``atol``, or
     either response holds a non-finite value (``max_abs_error`` is then
-    ``inf``).
+    ``inf``).  Every golden pair is checked in one vectorised pass over the
+    golden :attr:`FrequencyResponse.power` stack; mismatched pairs are listed
+    in golden order.
     """
-    if isinstance(candidate, SMatrix):
-        candidate = FrequencyResponse.from_smatrix(candidate)
     if isinstance(golden, SMatrix):
         golden = FrequencyResponse.from_smatrix(golden)
 
@@ -131,37 +179,30 @@ def compare_responses(
             reason="wavelength grids of candidate and golden responses differ",
         )
 
-    max_error = 0.0
-    mismatched: List[Tuple[str, str]] = []
-    nonfinite = 0
-    for pair, golden_spectrum in golden.transmission.items():
-        candidate_spectrum = candidate.transmission.get(pair)
-        if candidate_spectrum is None:
-            mismatched.append(pair)
-            max_error = float("inf")
-            continue
-        error = float(np.max(np.abs(candidate_spectrum - golden_spectrum)))
-        if not math.isfinite(error):
-            # A NaN sample on either side makes the error NaN, which passes
-            # ``error > atol`` and vanishes in ``max``: fail the pair outright.
-            nonfinite += 1
-            mismatched.append(pair)
-            max_error = float("inf")
-            continue
-        max_error = max(max_error, error)
-        if error > atol:
-            mismatched.append(pair)
-
-    if nonfinite:
+    pairs = tuple(golden.transmission)
+    candidate_power, found = _power_in_order(candidate, pairs)
+    golden_power = golden.power if found.all() else golden.power[found]
+    # In place: the gathered array is this call's own temporary.
+    np.subtract(candidate_power, golden_power.T, out=candidate_power)
+    np.abs(candidate_power, out=candidate_power)
+    errors = np.full(len(pairs), np.inf)
+    errors[found] = candidate_power.max(axis=0)
+    # A NaN sample on either side makes the error NaN, which passes
+    # ``error > atol`` and vanishes in ``max``: fail the pair outright.
+    nonfinite = found & ~np.isfinite(errors)
+    bad = ~found | nonfinite | (errors > atol)
+    mismatched = [pairs[k] for k in np.flatnonzero(bad)]
+    if nonfinite.any():
         return ComparisonResult(
             passed=False,
             max_abs_error=float("inf"),
             reason=(
                 "non-finite power transmission in the candidate or golden "
-                f"response on {nonfinite} port pair(s)"
+                f"response on {int(nonfinite.sum())} port pair(s)"
             ),
             mismatched_pairs=mismatched,
         )
+    max_error = float(errors.max()) if pairs else 0.0
     if mismatched:
         return ComparisonResult(
             passed=False,

@@ -1,6 +1,9 @@
 """Tests for tolerant netlist text parsing (extra-content detection)."""
 
+from typing import Optional
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.netlist import (
     ExtraContentError,
@@ -8,6 +11,7 @@ from repro.netlist import (
     extract_json_object,
     parse_netlist_text,
 )
+from repro.bench import get_problem
 from repro.bench.problems.fundamental import mzi_ps_golden
 
 
@@ -36,6 +40,69 @@ class TestExtractJsonObject:
 
     def test_no_object_returns_none(self):
         assert extract_json_object("no json here") is None
+
+
+def _scan_per_character(text: str) -> Optional[str]:
+    """The character-by-character brace scanner, kept as the oracle."""
+    start = text.find("{")
+    while start != -1:
+        depth = 0
+        in_string = False
+        escaped = False
+        for idx in range(start, len(text)):
+            char = text[idx]
+            if in_string:
+                if escaped:
+                    escaped = False
+                elif char == "\\":
+                    escaped = True
+                elif char == '"':
+                    in_string = False
+                continue
+            if char == '"':
+                in_string = True
+            elif char == "{":
+                depth += 1
+            elif char == "}":
+                depth -= 1
+                if depth == 0:
+                    return text[start : idx + 1]
+        start = text.find("{", start + 1)
+    return None
+
+
+#: Texts built mostly from the characters the scanner acts on, so escapes,
+#: strings and braces interleave in every way.
+_SCANNER_TEXTS = st.text(alphabet=st.sampled_from('{}"\\ab,:\n'), max_size=40)
+
+
+class TestExtractJsonObjectOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(_SCANNER_TEXTS)
+    @example('{"a\\\\"}')
+    @example('{"\\{"} }')
+    @example('"{" {"x": "}"}')
+    @example('{"a": 1} {')
+    @example('{{"a": "\\')
+    def test_matches_per_character_scanner(self, text):
+        assert extract_json_object(text) == _scan_per_character(text)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.text(max_size=60), st.text(max_size=30))
+    def test_matches_on_wrapped_netlists(self, prefix, suffix):
+        text = prefix + mzi_ps_golden().to_json() + suffix
+        assert extract_json_object(text) == _scan_per_character(text)
+
+    @pytest.mark.parametrize("problem", ["mzi_ps", "benes_8x8", "spanke_8x8"])
+    def test_matches_on_drafts_of_every_wrapper(self, problem):
+        golden = get_problem(problem).golden_netlist().to_json()
+        texts = [
+            "Here is the netlist:\n```json\n" + golden + "\n```\nDone.",
+            golden[: golden.rfind("}")],
+            golden + "{",
+        ]
+        for text in texts:
+            assert extract_json_object(text) == _scan_per_character(text)
 
 
 class TestParseNetlistText:

@@ -21,6 +21,7 @@ from repro.netlist import (
     collect_violations,
     validate_netlist,
 )
+from repro.sim import evaluate_netlist
 
 
 @pytest.fixture
@@ -187,3 +188,39 @@ class TestCollectViolations:
         golden.models["waveguide"] = "wire"
         for violation in collect_violations(golden):
             assert violation.category.is_syntax
+
+
+class TestNonFiniteSettings:
+    @pytest.mark.parametrize(
+        "value",
+        [float("nan"), float("inf"), float("-inf"), [1.0, [2.0, float("nan")]], (0.5, float("inf"))],
+        ids=["nan", "inf", "-inf", "nan-in-nested-list", "inf-in-tuple"],
+    )
+    def test_non_finite_setting_is_other_syntax(self, golden, value):
+        golden.instances["waveBottom"].settings["length"] = value
+        violations = collect_violations(golden)
+        assert len(violations) == 1
+        assert isinstance(violations[0], OtherSyntaxError)
+        assert violations[0].category is ErrorCategory.OTHER_SYNTAX
+        assert "'waveBottom'" in str(violations[0]) and "'length'" in str(violations[0])
+        with pytest.raises(OtherSyntaxError, match="not a finite number"):
+            validate_netlist(golden)
+
+    def test_non_finite_inside_a_nested_object(self, golden):
+        golden.instances["waveBottom"].settings["extra"] = {"a": [1.0, {"b": float("nan")}]}
+        assert [type(v) for v in collect_violations(golden)] == [OtherSyntaxError]
+
+    def test_nan_length_no_longer_reaches_the_solver(self, golden, wavelengths):
+        # Before the check, this netlist validated and the engine returned a
+        # degraded but all-finite S-matrix.
+        golden.instances["waveBottom"].settings["length"] = float("nan")
+        with pytest.raises(OtherSyntaxError):
+            evaluate_netlist(golden, wavelengths)
+
+    def test_finite_and_non_numeric_settings_pass(self, golden):
+        golden.instances["waveBottom"].settings.update(
+            {"length": 1e308, "tags": ["a", 1, True, None, [2.5]], "mode": "te"}
+        )
+        assert not any(
+            "finite" in str(violation) for violation in collect_violations(golden)
+        )
